@@ -18,6 +18,7 @@
 package blob
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 )
@@ -143,20 +144,29 @@ func gen8(seed uint64, alignedOff int64) uint64 {
 }
 
 // Materialize fills dst with the synthetic stream of seed starting at off.
+// Whole 8-byte words are stored at once; only a head up to the first
+// aligned stream offset and a tail of at most 7 bytes go byte by byte.
 func Materialize(seed uint64, off int64, dst []byte) {
 	if seed == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 		return
 	}
-	for i := 0; i < len(dst); {
-		pos := off + int64(i)
-		aligned := pos &^ 7
-		w := gen8(seed, aligned)
-		for j := pos - aligned; j < 8 && i < len(dst); j++ {
-			dst[i] = byte(w >> (8 * uint(j)))
-			i++
+	i := 0
+	if head := off & 7; head != 0 {
+		w := gen8(seed, off-head) >> (8 * uint(head))
+		for ; i < len(dst) && i < int(8-head); i++ {
+			dst[i] = byte(w)
+			w >>= 8
+		}
+	}
+	for ; i+8 <= len(dst); i += 8 {
+		binary.LittleEndian.PutUint64(dst[i:], gen8(seed, off+int64(i)))
+	}
+	if i < len(dst) {
+		w := gen8(seed, off+int64(i))
+		for ; i < len(dst); i++ {
+			dst[i] = byte(w)
+			w >>= 8
 		}
 	}
 }

@@ -315,3 +315,41 @@ func TestMaterializeWindowIndependence(t *testing.T) {
 		}
 	}
 }
+
+// materializeRef is the byte-at-a-time generator Materialize replaced:
+// the reference its word-at-a-time stores must reproduce.
+func materializeRef(seed uint64, off int64, dst []byte) {
+	for i := 0; i < len(dst); {
+		pos := off + int64(i)
+		aligned := pos &^ 7
+		w := gen8(seed, aligned)
+		for j := pos - aligned; j < 8 && i < len(dst); j++ {
+			dst[i] = byte(w >> (8 * uint(j)))
+			i++
+		}
+	}
+}
+
+func TestMaterializeMatchesByteReference(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 7, 0xdeadbeef} {
+		for off := int64(0); off < 20; off++ {
+			for n := 0; n < 40; n++ {
+				got, want := make([]byte, n), make([]byte, n)
+				for i := range got {
+					got[i] = 0xee // Materialize must overwrite every byte
+				}
+				Materialize(seed, off, got)
+				materializeRef(seed, off, want)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("seed %#x off %d len %d: got %x, want %x", seed, off, n, got, want)
+				}
+			}
+		}
+	}
+	got, want := make([]byte, 1<<20), make([]byte, 1<<20)
+	Materialize(0xdeadbeef, 12345, got)
+	materializeRef(0xdeadbeef, 12345, want)
+	if !bytes.Equal(got, want) {
+		t.Fatal("1 MiB window differs from the byte reference")
+	}
+}

@@ -425,6 +425,12 @@ type ctrlState struct {
 
 func (op *OffloadProc) writeCtrl(st ctrlState) {
 	r := op.p.Region(ctrlRegionName)
+	if r == nil {
+		// The process was terminated, releasing its regions, while a
+		// device thread finished an invocation: the host already has the
+		// result and no control state survives to record.
+		return
+	}
 	buf := make([]byte, 0, 64+len(st.Func)+len(st.Args))
 	if st.Active {
 		buf = append(buf, 1)

@@ -57,7 +57,14 @@ type rig struct {
 
 func newRig(t *testing.T, binName string, devices int) *rig {
 	t.Helper()
-	coi.RegisterBinary(testBinary(binName))
+	return newRigWith(t, testBinary(binName), devices)
+}
+
+// newRigWith is newRig over a caller-built binary.
+func newRigWith(t *testing.T, bin *coi.Binary, devices int) *rig {
+	t.Helper()
+	binName := bin.Name
+	coi.RegisterBinary(bin)
 	plat := platformtest.Start(t, platformtest.Options{Devices: devices})
 	host := plat.Procs.Spawn("host_proc", simnet.HostNode, plat.Host().Mem)
 	tl := simclock.NewTimeline()

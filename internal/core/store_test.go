@@ -6,9 +6,11 @@ package core
 // cases live in chaos_store_test.go.
 
 import (
+	"bytes"
 	"testing"
 
 	"snapify/internal/coi"
+	"snapify/internal/proc"
 )
 
 // storeOpts is the capture configuration of the store tests: a striped
@@ -206,5 +208,64 @@ func TestStoreDeltaChainParentOnlyInStore(t *testing.T) {
 	}
 	if s := r.plat.Store.Stats(); s.Manifests != 0 || s.Chunks != 0 {
 		t.Errorf("store not empty after chain release + gc: %+v", s)
+	}
+}
+
+// TestStoreRestoreAddsNoLiteralBytes pins that a store restore keeps
+// untouched background synthetic. Dedup aliases every all-zero chunk to
+// the first one stored, whose extent carries that first chunk's stream
+// offset wherever it is reused; a restore that materialized such chunks
+// would leave the process holding real zero bytes it never wrote. The
+// restored process must hold exactly the literal bytes the image held:
+// those of the process that was captured.
+func TestStoreRestoreAddsNoLiteralBytes(t *testing.T) {
+	const name = "core_store_literal"
+	bin := testBinary(name)
+	// Two seed-0 regions of many zero chunks each, so zero chunks land
+	// at offsets other than the one they were first stored from.
+	bin.AddRegion("bss", proc.RegionData, 1<<20, 0)
+	bin.AddRegion("arena", proc.RegionHeap, 1<<20, 0)
+	r := newRigWith(t, bin, 1)
+	r.count(t, 40)
+	buf, err := r.cp.CreateBuffer(256 * 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := buf.Write(bytes.Repeat([]byte{0x5a}, 64*1024), 96*1024); err != nil {
+		t.Fatal(err)
+	}
+
+	literal := func() int64 {
+		t.Helper()
+		op, err := coi.DaemonAt(r.plat, r.cp.DeviceNode()).Lookup(r.cp.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n int64
+		for _, reg := range op.Proc().Regions() {
+			n += reg.DirtyBytes()
+		}
+		return n
+	}
+	before := literal()
+	if before == 0 {
+		t.Fatal("captured process holds no literal bytes")
+	}
+	ropts := RestoreOptions{}
+	ropts.Store.Enabled = true
+	for cycle := 1; cycle <= 2; cycle++ {
+		snap, err := Swapout("/snap/lit", r.cp, storeOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Swapin(snap, 1, ropts); err != nil {
+			t.Fatal(err)
+		}
+		if got := literal(); got != before {
+			t.Errorf("cycle %d: restored process holds %d literal bytes, the image held %d", cycle, got, before)
+		}
+	}
+	if got := r.count(t, 80); got != refSum(80) {
+		t.Errorf("post-swap count = %d, want %d", got, refSum(80))
 	}
 }

@@ -1066,7 +1066,10 @@ func (c *Controller) swapOutDone(j *Job) error {
 func (c *Controller) serveWaiters(cd *card) {
 	for len(cd.waiters) > 0 {
 		j := c.jobs[cd.waiters[0]]
-		if j == nil || j.State != StateSwappedOut || j.Card != cd.idx {
+		// A waiter entry is stale once its job left this card: with one
+		// card per host the card index alone cannot tell, so the host
+		// must match too.
+		if j == nil || j.State != StateSwappedOut || j.Card != cd.idx || j.Host != c.hosts[cd.hostIdx].name {
 			cd.waiters = cd.waiters[1:]
 			continue
 		}

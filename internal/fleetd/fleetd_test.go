@@ -569,3 +569,35 @@ func TestRunDeterminism(t *testing.T) {
 		t.Fatalf("same trace diverged:\n%+v\n%+v", a, b)
 	}
 }
+
+// TestOversubResidencyAcrossHosts replays the bursty trace at 200%
+// oversubscription with an evacuation wave, one card per host, and
+// audits card residency every 100 virtual ms. A preempted job's waiter
+// entry on its old host used to survive the job's re-placement on
+// another host — both hosts use card index 0 — and serve it a second
+// time, driving the old card's residency negative and, on some seeds,
+// wedging jobs that never finish.
+func TestOversubResidencyAcrossHosts(t *testing.T) {
+	for _, seed := range []uint64{1, 11, 12, 42} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			const cardMem = 256 << 20
+			trace := GenerateTrace(TraceConfig{
+				Seed: seed, Jobs: 240, Tenants: 4, CardMem: cardMem,
+				BurstScale: 10, ThinkScale: 400,
+			})
+			c, _ := newModel(t, Options{OversubPct: 200, QueueDepth: 128},
+				ModelOptions{Hosts: 12, CardsPerHost: 1, CardMem: cardMem})
+			if err := c.SubmitTrace(trace); err != nil {
+				t.Fatal(err)
+			}
+			c.ScheduleEvacuation(500*ms, "h000", 120000*ms)
+			for c.events.Len() > 0 && c.now < 600000*ms {
+				if err := c.RunUntil(c.now + 100*ms); err != nil {
+					t.Fatal(err)
+				}
+				checkInvariants(t, c)
+			}
+			completedAll(t, c)
+		})
+	}
+}

@@ -25,10 +25,7 @@ const DefaultFlightSpans = 512
 // tier asserts on.
 type FlightRecorder struct {
 	mu      sync.Mutex
-	ring    []Span // fixed capacity; write index wraps
-	next    int
-	full    bool
-	dropped int64 // spans overwritten after the ring first filled
+	ring    spanRing
 	reg     *Registry
 	base    map[string]int64 // counter snapshot at boot / last trigger
 	seq     int
@@ -44,7 +41,7 @@ func NewFlightRecorder(capacity int, reg *Registry) *FlightRecorder {
 		capacity = DefaultFlightSpans
 	}
 	return &FlightRecorder{
-		ring: make([]Span, capacity),
+		ring: newSpanRing(capacity),
 		reg:  reg,
 		base: reg.counterSnapshot(),
 	}
@@ -72,15 +69,7 @@ func (f *FlightRecorder) Record(s Span) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.full {
-		f.dropped++
-	}
-	f.ring[f.next] = s
-	f.next++
-	if f.next == len(f.ring) {
-		f.next = 0
-		f.full = true
-	}
+	f.ring.push(s)
 }
 
 // CounterDelta is one counter series that moved since the baseline.
@@ -112,8 +101,8 @@ func (f *FlightRecorder) Trigger(reason string) *FlightDump {
 		return nil
 	}
 	f.mu.Lock()
-	spans := f.snapshotLocked()
-	dropped := f.dropped
+	spans := f.ring.spans()
+	dropped := f.ring.dropped()
 	f.seq++
 	seq := f.seq
 	now := f.reg.counterSnapshot()
@@ -190,16 +179,42 @@ func (f *FlightRecorder) LastDump() *FlightDump {
 	return f.last
 }
 
-// snapshotLocked returns the ring contents oldest-first.
-func (f *FlightRecorder) snapshotLocked() []Span {
-	if !f.full {
-		out := make([]Span, f.next)
-		copy(out, f.ring[:f.next])
-		return out
+// spanRing is a fixed-capacity log of spans: once full, each push
+// overwrites the oldest span. The backing array grows on demand up to
+// the capacity, so a rarely used ring stays small.
+type spanRing struct {
+	buf   []Span
+	cap   int
+	total uint64 // spans ever pushed; span k sits at buf[k%cap] while retained
+}
+
+func newSpanRing(capacity int) spanRing { return spanRing{cap: capacity} }
+
+// push appends s and returns the span it overwrote, if any.
+func (r *spanRing) push(s Span) (old Span, evicted bool) {
+	seq := r.total
+	r.total++
+	if len(r.buf) < r.cap {
+		r.buf = append(r.buf, s)
+		return Span{}, false
 	}
-	out := make([]Span, 0, len(f.ring))
-	out = append(out, f.ring[f.next:]...)
-	out = append(out, f.ring[:f.next]...)
+	i := seq % uint64(r.cap)
+	old, r.buf[i] = r.buf[i], s
+	return old, true
+}
+
+// at returns the span with sequence number seq, which must be retained.
+func (r *spanRing) at(seq uint64) Span { return r.buf[seq%uint64(r.cap)] }
+
+// dropped returns how many spans were overwritten.
+func (r *spanRing) dropped() int64 { return int64(r.total) - int64(len(r.buf)) }
+
+// spans returns the retained spans oldest first.
+func (r *spanRing) spans() []Span {
+	out := make([]Span, 0, len(r.buf))
+	for seq := r.total - uint64(len(r.buf)); seq < r.total; seq++ {
+		out = append(out, r.at(seq))
+	}
 	return out
 }
 

@@ -24,24 +24,58 @@ type Span struct {
 // End returns the virtual end time of the span.
 func (s Span) End() simclock.Duration { return s.Start + s.Dur }
 
+// DefaultTraceSpans bounds a tracer's span log: a long-running platform
+// keeps its most recent 2^15 spans — dozens of captures, restores or
+// migrations — and drops older ones, so the tracer's memory stays
+// constant however many operations it records.
+const DefaultTraceSpans = 1 << 15
+
 // Tracer records spans across named tracks. A track is a (process,
 // thread) pair and maps onto a Perfetto pid/tid lane; creation order
-// fixes the numeric IDs so exports are deterministic.
+// fixes the numeric IDs so exports are deterministic. The span log is a
+// fixed-capacity ring indexed by scope; the export counts the spans the
+// ring dropped.
 type Tracer struct {
-	mu        sync.Mutex
-	tracks    map[[2]string]*Track
-	order     []*Track
-	procIDs   map[string]int
-	spans     []Span
+	mu      sync.Mutex
+	tracks  map[[2]string]*Track
+	order   []*Track
+	procIDs map[string]int
+	log     spanRing
+	// byScope holds the log sequence numbers of each scope's retained
+	// spans, oldest first.
+	byScope   map[uint64][]uint64
 	nextScope uint64
 	onEmit    func(Span)
 }
 
-// NewTracer returns an empty tracer.
-func NewTracer() *Tracer {
+// NewTracer returns an empty tracer keeping the DefaultTraceSpans most
+// recent spans.
+func NewTracer() *Tracer { return newTracer(DefaultTraceSpans) }
+
+func newTracer(capacity int) *Tracer {
 	return &Tracer{
 		tracks:  make(map[[2]string]*Track),
 		procIDs: make(map[string]int),
+		log:     newSpanRing(capacity),
+		byScope: make(map[uint64][]uint64),
+	}
+}
+
+// record appends s to the span log and the scope index. The caller holds
+// t.mu.
+func (t *Tracer) record(s Span) {
+	seq := t.log.total
+	if old, evicted := t.log.push(s); evicted && old.Scope != 0 {
+		// Spans leave the ring in log order, so the evicted span is the
+		// oldest of its scope.
+		if rest := t.byScope[old.Scope][1:]; len(rest) > 0 {
+			t.byScope[old.Scope] = rest
+		} else {
+			delete(t.byScope, old.Scope)
+		}
+	}
+	if s.Scope != 0 {
+		t.byScope[s.Scope] = append(t.byScope[s.Scope], seq)
 	}
 }
 
@@ -99,33 +133,33 @@ func (t *Tracer) SetOnEmit(fn func(Span)) {
 	t.onEmit = fn
 }
 
-// ScopeSpans returns (a copy of) every span recorded under scope, in
-// emission order. Scope 0 never matches.
+// ScopeSpans returns (a copy of) every retained span recorded under
+// scope, in emission order. Scope 0 never matches.
 func (t *Tracer) ScopeSpans(scope uint64) []Span {
 	if t == nil || scope == 0 {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []Span
-	for _, s := range t.spans {
-		if s.Scope == scope {
-			out = append(out, s)
-		}
+	seqs := t.byScope[scope]
+	if len(seqs) == 0 {
+		return nil
+	}
+	out := make([]Span, len(seqs))
+	for i, seq := range seqs {
+		out[i] = t.log.at(seq)
 	}
 	return out
 }
 
-// Spans returns a copy of every recorded span in emission order.
+// Spans returns a copy of every retained span in emission order.
 func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Span, len(t.spans))
-	copy(out, t.spans)
-	return out
+	return t.log.spans()
 }
 
 // Track is one pid/tid lane of the trace. It keeps a cursor — the
@@ -183,7 +217,7 @@ func (tk *Track) Emit(scope uint64, name string, start, dur simclock.Duration, a
 		Dur:     dur,
 		Args:    args,
 	}
-	tk.tracer.spans = append(tk.tracer.spans, s)
+	tk.tracer.record(s)
 	if end := start + dur; end > tk.cursor {
 		tk.cursor = end
 	}
@@ -292,15 +326,17 @@ type chromeEvent struct {
 // chrome://tracing. ts/dur are virtual microseconds; the exact virtual
 // nanosecond duration rides in args.dur_ns (ints survive, floats
 // round). Output is deterministic: metadata first in track-creation
-// order, then spans sorted by (pid, tid, start, -dur, name).
+// order, then spans sorted by (pid, tid, start, -dur, name). When the
+// bounded span log has dropped spans, a dropped_spans metadata event
+// counts them; the export holds the retained ones.
 func (t *Tracer) ChromeTrace() []byte {
 	var events []chromeEvent
 	if t != nil {
 		t.mu.Lock()
 		tracks := make([]*Track, len(t.order))
 		copy(tracks, t.order)
-		spans := make([]Span, len(t.spans))
-		copy(spans, t.spans)
+		spans := t.log.spans()
+		dropped := t.log.dropped()
 		scopes := t.nextScope
 		t.mu.Unlock()
 
@@ -311,6 +347,12 @@ func (t *Tracer) ChromeTrace() []byte {
 			Name: "scope_count", Ph: "M", Pid: 0, Tid: 0,
 			Args: map[string]any{"count": int64(scopes)},
 		})
+		if dropped > 0 {
+			events = append(events, chromeEvent{
+				Name: "dropped_spans", Ph: "M", Pid: 0, Tid: 0,
+				Args: map[string]any{"count": dropped},
+			})
+		}
 
 		seenProc := make(map[int]bool)
 		for _, tk := range tracks {
@@ -387,7 +429,8 @@ func (t *Tracer) ChromeTrace() []byte {
 // or disjoint — partial overlap would render garbage in Perfetto), and
 // every args.scope a positive integer no larger than the scope_count
 // ledger (when the trace carries one): a span may not reference a scope
-// the tracer never created.
+// the tracer never created. A dropped_spans count, when present, must be
+// a positive integer.
 func ValidateChromeTrace(b []byte) error {
 	var doc struct {
 		TraceEvents []struct {
@@ -416,10 +459,15 @@ func ValidateChromeTrace(b []byte) error {
 	lanes := make(map[lane][]ispan)
 	nX := 0
 	scopeCount := int64(-1) // -1: trace carries no scope ledger
-	for _, ev := range doc.TraceEvents {
+	for i, ev := range doc.TraceEvents {
 		if ev.Ph == "M" && ev.Name == "scope_count" {
 			if c, ok := ev.Args["count"].(float64); ok {
 				scopeCount = int64(c)
+			}
+		}
+		if ev.Ph == "M" && ev.Name == "dropped_spans" {
+			if c, ok := ev.Args["count"].(float64); !ok || c != float64(int64(c)) || c < 1 {
+				return fmt.Errorf("trace: event %d: dropped_spans count %v is not a positive integer", i, ev.Args["count"])
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -163,6 +164,12 @@ func TestValidateChromeTraceRejects(t *testing.T) {
 			{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":1,"args":{"name":"app"}},
 			{"name":"x","ph":"X","ts":0,"dur":1,"pid":1,"tid":1,"args":{"dur_ns":1000,"scope":0}}]}`,
 			"not a positive integer"},
+		{"negative dropped count", `{"traceEvents":[
+			{"name":"dropped_spans","ph":"M","ts":0,"pid":0,"tid":0,"args":{"count":-2}},
+			{"name":"process_name","ph":"M","ts":0,"pid":1,"tid":0,"args":{"name":"host"}},
+			{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":1,"args":{"name":"app"}},
+			{"name":"x","ph":"X","ts":0,"dur":1,"pid":1,"tid":1,"args":{"dur_ns":1000}}]}`,
+			"dropped_spans count"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -311,5 +318,60 @@ func TestTrackCursor(t *testing.T) {
 	}
 	if got := tr.Track("host", "app"); got != tk {
 		t.Error("Track is not idempotent for the same (process, thread)")
+	}
+}
+
+// TestTracerRingBound emits more spans than the tracer's log holds. The
+// log keeps the newest spans in emission order, the newest scope stays
+// complete, the scope index forgets scopes whose spans all left, and the
+// export counts the dropped spans and still validates.
+func TestTracerRingBound(t *testing.T) {
+	const capacity, perScope, scopes = 64, 5, 40 // 200 spans through a 64-span log
+	tr := newTracer(capacity)
+	tk := tr.Track("host", "app")
+	var last uint64
+	for i := 0; i < scopes; i++ {
+		last = tr.NewScope()
+		for j := 0; j < perScope; j++ {
+			tk.Span(last, fmt.Sprintf("op_%d_%d", i, j), 10, nil)
+		}
+	}
+	const dropped = perScope*scopes - capacity
+	spans := tr.Spans()
+	if len(spans) != capacity || tr.log.dropped() != dropped {
+		t.Fatalf("log holds %d spans, dropped %d; want %d and %d", len(spans), tr.log.dropped(), capacity, dropped)
+	}
+	if first := spans[0].Name; first != fmt.Sprintf("op_%d_%d", dropped/perScope, dropped%perScope) {
+		t.Errorf("oldest retained span is %s", first)
+	}
+	newest := tr.ScopeSpans(last)
+	if len(newest) != perScope {
+		t.Fatalf("newest scope has %d spans, want %d", len(newest), perScope)
+	}
+	for j, s := range newest {
+		if want := fmt.Sprintf("op_%d_%d", scopes-1, j); s.Name != want {
+			t.Errorf("newest scope span %d is %s, want %s", j, s.Name, want)
+		}
+	}
+	// The 28th scope straddles the cut: its first span was dropped.
+	if got := len(tr.ScopeSpans(uint64(dropped/perScope + 1))); got != perScope-dropped%perScope {
+		t.Errorf("straddling scope keeps %d spans, want %d", got, perScope-dropped%perScope)
+	}
+	if tr.ScopeSpans(1) != nil {
+		t.Error("a fully dropped scope still returns spans")
+	}
+	if got, want := len(tr.byScope), (capacity+perScope-1)/perScope; got > want {
+		t.Errorf("scope index holds %d scopes, want at most %d", got, want)
+	}
+	trace := tr.ChromeTrace()
+	if !strings.Contains(string(trace), `"name": "dropped_spans"`) ||
+		!strings.Contains(string(trace), fmt.Sprintf(`"count": %d`, dropped)) {
+		t.Errorf("export does not record %d dropped spans", dropped)
+	}
+	if err := ValidateChromeTrace(trace); err != nil {
+		t.Errorf("bounded export does not validate: %v", err)
+	}
+	if strings.Contains(string(trace), `"op_0_0"`) {
+		t.Error("export holds a dropped span")
 	}
 }

@@ -173,7 +173,8 @@ func (r *Region) MarkClean() {
 	r.dirty.reset()
 }
 
-// DirtyBytes returns the overlay (actually written) byte count.
+// DirtyBytes returns how many bytes the region holds as literal (real)
+// bytes; untouched background and synthetic content hold none.
 func (r *Region) DirtyBytes() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -63,15 +63,18 @@ done
 [ "$cover_fail" = 0 ]
 
 echo "==> fuzz smoke (5s per target, committed seed corpora)"
-# Short native-Go fuzz runs over the two external parsing surfaces: the
+# Short native-Go fuzz runs over the two external parsing surfaces — the
 # snapstore manifest decoder (bytes off the VFS / off the wire from a
 # federation peer) and the Chrome-trace parser (CI artifacts, user
-# exports). The committed corpora under testdata/fuzz/ replay first;
-# 5s of mutation on top catches regressions in input hardening without
-# turning the gate into a fuzzing campaign. Crashers minimize into
-# testdata/fuzz/ and fail the gate until fixed.
+# exports) — and over blob.Buffer's extent overlay, checked against a flat
+# byte model including the copy-on-write invariant. The committed
+# corpora under testdata/fuzz/ replay first; 5s of mutation on top
+# catches regressions in input hardening without turning the gate into
+# a fuzzing campaign. Crashers minimize into testdata/fuzz/ and fail the
+# gate until fixed.
 go test -run '^$' -fuzz '^FuzzDecodeManifest$' -fuzztime 5s ./internal/snapstore/
 go test -run '^$' -fuzz '^FuzzParseChromeTrace$' -fuzztime 5s ./internal/obs/analyze/
+go test -run '^$' -fuzz '^FuzzBufferOps$' -fuzztime 5s ./internal/blob/
 
 echo "==> chaos tier (fault-injection sweeps + seed replay, -count=2)"
 # The chaos tier re-runs the deterministic fault-injection sweeps twice
